@@ -6,13 +6,17 @@ lives in its own module.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 from typing import TypeVar
 
 import numpy as np
 
 __all__ = [
     "as_rng",
+    "atomic_write_text",
     "check_positive",
     "check_fraction",
     "check_nonempty",
@@ -84,3 +88,27 @@ def format_si(value: float, digits: int = 2) -> str:
 def format_pct(value: float, digits: int = 1) -> str:
     """Format a fraction as a signed percentage string (e.g. ``-36.0%``)."""
     return f"{value * 100:+.{digits}f}%"
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Replace *path* with *text* so readers see the old or the new file.
+
+    The text goes to a unique ``.tmp-*`` sibling that is renamed over
+    *path* (``os.replace``).  A write that fails midway removes its temp
+    file and leaves any previous *path* intact.  Nothing is fsynced: the
+    rename survives a killed process, not a power loss.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    descriptor, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise

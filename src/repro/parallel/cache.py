@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -34,6 +33,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 import numpy as np
 
 from repro import obs
+from repro._util import atomic_write_text
 from repro._version import __version__
 from repro.errors import TraceFormatError
 from repro.obs.log import get_logger
@@ -238,7 +238,6 @@ class PipelineCache:
         """Atomically store *payload* under *key*; returns the entry path."""
         kind = str(key.get("kind", "misc"))
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         document = {
             "format": _CACHE_FORMAT,
             "key": _canonical(key),
@@ -246,21 +245,15 @@ class PipelineCache:
             "payload": payload,
         }
         with obs.span("cache.put", kind=kind):
-            descriptor, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            # One-shot ``dumps`` takes the C encoder; ``json.dump`` to a
+            # file handle never does.
+            atomic_write_text(path, json.dumps(document))
             obs.count("cache.writes_total", kind=kind)
         return path
+
+    def has(self, key: Mapping[str, Any]) -> bool:
+        """Whether an entry file exists under *key* (not read or checked)."""
+        return self._path(key).is_file()
 
     def invalidate(self, key: Mapping[str, Any]) -> None:
         """Drop the entry stored under *key* as semantically corrupt."""

@@ -1,19 +1,34 @@
 """Checkpoint serde: resume a windowed watch from the pipeline cache.
 
-A streaming run over N windows stores, after every completed window, a
-checkpoint entry in the :class:`~repro.parallel.cache.PipelineCache`
-keyed by ``(trace digest, window spec, settings, config, strict)``.  The
-payload holds per-window outcomes (labels for built frames, quarantine
-records, empty markers) plus the full JSON form of every evaluated
-:class:`~repro.tracking.combine.PairRelations`, so a restarted watch
-replays completed windows verbatim — no DBSCAN, no evaluators — and
-continues live from the first uncompleted one.  JSON floats round-trip
-binary64 exactly, so replayed relations are bit-identical to the ones
-originally computed.
+A streaming run over N windows commits a checkpoint in the
+:class:`~repro.parallel.cache.PipelineCache` after every completed
+window.  Each window is stored once, as its own ``stream-window`` entry
+keyed by the stream key plus the window index: its outcome (labels for
+a built frame, a quarantine record or an empty marker), its alerts and
+the full JSON form of the :class:`~repro.tracking.combine.PairRelations`
+evaluated when it was pushed.  The entry under the stream key itself
+(``(trace digest, window spec, settings, config, strict, ...)``) is a
+fixed-size head, ``{"format": 3, "n": N}``, written *after* the window
+entry: the head is the commit point, so a window entry written without
+its head update is simply not part of the checkpoint.  The cost of a
+save is therefore constant in the number of windows already done.
 
-Corruption handling follows the cache's contract: a checkpoint that
-fails to parse or validate in any way is dropped wholesale and the run
-starts cold — never crashed on, never partially trusted.
+A restarted watch replays the N committed windows verbatim — no
+DBSCAN, no evaluators — and continues live from window N.  JSON floats
+round-trip binary64 exactly, so replayed relations are bit-identical to
+the ones originally computed.
+
+Formats 1 and 2 stored every record inline in one payload under the
+stream key (format 2 added the per-window ``alerts``).  They still
+load; the first save after resuming from one stores every replayed
+window as its own entry before committing a format-3 head.
+
+Corruption handling follows the cache's contract: a head or window
+entry that is missing, fails its digest, or fails to parse or validate
+in any way drops the checkpoint and the run starts cold — never
+crashed on, never partially trusted.  Entries are written atomically
+(temp file + rename) but never fsynced: a killed process resumes from
+its last committed window, a power loss may lose the checkpoint.
 """
 
 from __future__ import annotations
@@ -51,14 +66,17 @@ __all__ = [
 
 log = get_logger(__name__)
 
-#: Checkpoint payload schema written by this version.  Format 2 added
-#: the optional per-window ``alerts`` list; format-1 checkpoints (no
-#: alert fields) still load — see :data:`_ACCEPTED_FORMATS`.
-_CHECKPOINT_FORMAT = 2
+#: Checkpoint schema written by this version: a ``{"format", "n"}``
+#: head over per-window entries.  Formats 1 and 2 held the records
+#: inline (format 2 added the per-window ``alerts`` list).
+_CHECKPOINT_FORMAT = 3
 
 #: Formats :func:`load_checkpoint` accepts.  Older formats simply lack
 #: newer optional fields, which default to empty on load.
-_ACCEPTED_FORMATS = (1, 2)
+_ACCEPTED_FORMATS = (1, 2, 3)
+
+#: Cache kind of the per-window entries of a format-3 checkpoint.
+_WINDOW_KIND = "stream-window"
 
 
 @dataclass(frozen=True)
@@ -256,36 +274,77 @@ def _failure_from_json(data: Mapping[str, str] | None) -> ItemFailure | None:
 # ----------------------------------------------------------------------
 # Checkpoint load/save
 # ----------------------------------------------------------------------
+def _window_key(key: Mapping[str, Any], index: int) -> dict[str, Any]:
+    """Cache key of window *index* of the stream keyed by *key*."""
+    return {**key, "kind": _WINDOW_KIND, "window": int(index)}
+
+
+def _record_to_json(record: WindowRecord) -> dict[str, Any]:
+    return {
+        "window": record.window,
+        "status": record.status,
+        "labels": (
+            np.asarray(record.labels).tolist()
+            if record.labels is not None
+            else None
+        ),
+        "failure": _failure_to_json(record.failure),
+        "pair": (
+            pair_relations_to_json(record.pair)
+            if record.pair is not None
+            else None
+        ),
+        "pair_failure": _failure_to_json(record.pair_failure),
+        "alerts": [alert.to_dict() for alert in record.alerts],
+    }
+
+
+def _record_from_json(entry: Mapping[str, Any]) -> WindowRecord:
+    """Parse one stored window record (any format); raises on malformed."""
+    status = str(entry["status"])
+    if status not in ("ok", "empty", "quarantined"):
+        raise ValueError(f"unknown window status {status!r}")
+    labels = entry.get("labels")
+    if status == "ok" and labels is None:
+        raise ValueError("ok window without labels")
+    return WindowRecord(
+        window=int(entry["window"]),
+        status=status,
+        labels=(
+            np.asarray(labels, dtype=np.int32) if labels is not None else None
+        ),
+        failure=_failure_from_json(entry.get("failure")),
+        pair=(
+            pair_relations_from_json(entry["pair"])
+            if entry.get("pair") is not None
+            else None
+        ),
+        pair_failure=_failure_from_json(entry.get("pair_failure")),
+        alerts=tuple(
+            AlertRecord.from_dict(alert) for alert in entry.get("alerts") or ()
+        ),
+    )
+
+
 def save_checkpoint(
     cache: PipelineCache,
     key: Mapping[str, Any],
     records: list[WindowRecord],
 ) -> None:
-    """Store the windows completed so far under the stream key."""
-    payload = {
-        "format": _CHECKPOINT_FORMAT,
-        "windows": [
-            {
-                "window": record.window,
-                "status": record.status,
-                "labels": (
-                    np.asarray(record.labels).tolist()
-                    if record.labels is not None
-                    else None
-                ),
-                "failure": _failure_to_json(record.failure),
-                "pair": (
-                    pair_relations_to_json(record.pair)
-                    if record.pair is not None
-                    else None
-                ),
-                "pair_failure": _failure_to_json(record.pair_failure),
-                "alerts": [alert.to_dict() for alert in record.alerts],
-            }
-            for record in records
-        ],
-    }
-    cache.put(key, payload)
+    """Commit *records*, the windows completed so far, under the stream key.
+
+    Stores the newest record as its own window entry, then the head
+    naming all ``len(records)`` windows.  Earlier records are written
+    too when the entry just before the newest is absent — the first
+    save of a run resumed from an inline (format 1/2) checkpoint, or of
+    a caller that hands over a whole list at once.
+    """
+    first = max(len(records) - 1, 0)
+    if first and not cache.has(_window_key(key, first - 1)):
+        first = 0
+    for index in range(first, len(records)):
+        cache.put(_window_key(key, index), _record_to_json(records[index]))
+    cache.put(key, {"format": _CHECKPOINT_FORMAT, "n": len(records)})
 
 
 def load_checkpoint(
@@ -294,46 +353,28 @@ def load_checkpoint(
 ) -> list[WindowRecord] | None:
     """Fetch and materialise a checkpoint, or ``None``.
 
-    Any parse or validation problem — wrong schema, malformed matrices,
-    inconsistent shapes — drops the entry and returns ``None`` so the
-    run simply starts cold.
+    Any problem — wrong schema, a window entry missing or failing its
+    digest, malformed matrices, inconsistent shapes — drops the head
+    and returns ``None`` so the run simply starts cold.
     """
-    payload = cache.get(key)
-    if payload is None:
+    head = cache.get(key)
+    if head is None:
         return None
     try:
-        if payload.get("format") not in _ACCEPTED_FORMATS:
-            raise ValueError(f"checkpoint format {payload.get('format')!r}")
-        records: list[WindowRecord] = []
-        for entry in payload["windows"]:
-            status = str(entry["status"])
-            if status not in ("ok", "empty", "quarantined"):
-                raise ValueError(f"unknown window status {status!r}")
-            labels = entry.get("labels")
-            if status == "ok" and labels is None:
-                raise ValueError("ok window without labels")
-            records.append(
-                WindowRecord(
-                    window=int(entry["window"]),
-                    status=status,
-                    labels=(
-                        np.asarray(labels, dtype=np.int32)
-                        if labels is not None
-                        else None
-                    ),
-                    failure=_failure_from_json(entry.get("failure")),
-                    pair=(
-                        pair_relations_from_json(entry["pair"])
-                        if entry.get("pair") is not None
-                        else None
-                    ),
-                    pair_failure=_failure_from_json(entry.get("pair_failure")),
-                    alerts=tuple(
-                        AlertRecord.from_dict(alert)
-                        for alert in entry.get("alerts") or ()
-                    ),
-                )
-            )
+        fmt = head["format"]
+        if fmt not in _ACCEPTED_FORMATS:
+            raise ValueError(f"checkpoint format {fmt!r}")
+        if fmt != _CHECKPOINT_FORMAT:  # formats 1 and 2 hold records inline
+            return [_record_from_json(entry) for entry in head["windows"]]
+        n = head["n"]
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"checkpoint window count {n!r}")
+        records = []
+        for index in range(n):
+            entry = cache.get(_window_key(key, index))
+            if entry is None:
+                raise ValueError(f"window entry #{index} missing or corrupt")
+            records.append(_record_from_json(entry))
         return records
     except (KeyError, TypeError, ValueError, ReproError) as error:
         log.warning("discarding corrupt stream checkpoint: %s", error)

@@ -159,7 +159,48 @@ class TestMakeFramesWithCache:
         np.testing.assert_array_equal(cache.get_labels(key), reference.labels)
 
 
+class TestAtomicWrite:
+    """A put that fails midway leaves the previous entry and no debris."""
+
+    def test_failed_write_keeps_old_entry(self, cache, monkeypatch):
+        import repro._util as util
+
+        key = {"kind": "misc", "name": "atomic"}
+        path = cache.put(key, {"generation": 1})
+        real_fdopen = util.os.fdopen
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(
+            util.os, "fdopen", lambda *a, **kw: FullDisk(real_fdopen(*a, **kw))
+        )
+        with pytest.raises(OSError, match="No space left"):
+            cache.put(key, {"generation": 2, "padding": "x" * 4096})
+        monkeypatch.undo()
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+        assert cache.get(key) == {"generation": 1}
+
+
 class TestMaintenance:
+    def test_has_sees_only_stored_entries(self, cache):
+        key = {"kind": "misc", "name": "present"}
+        assert not cache.has(key)
+        cache.put(key, {"value": 1})
+        assert cache.has(key)
+        assert not cache.has({"kind": "misc", "name": "absent"})
+
     def test_info_and_clear(self, cache, small_trace):
         cache.put_trace(trace_key("wrf", {"ranks": 16}, 0), small_trace)
         cache.put_labels(frame_key(small_trace, FrameSettings()), np.zeros(5))

@@ -1,14 +1,22 @@
-"""Checkpoint format compatibility: format-1 payloads keep loading.
+"""Checkpoint format compatibility: inline payloads keep loading.
 
-Format 2 added the per-window ``alerts`` list.  These tests pin the
-contract: format-1 checkpoints (written before alerting existed) load
-with empty alerts and resume cleanly — including into an alerting run,
-which recomputes alerts from the replayed frames — while unknown
-formats are dropped wholesale.
+Formats 1 and 2 stored every window record inline under the stream
+key; format 2 added the per-window ``alerts`` list, and format 3 moved
+the records into per-window entries behind a ``{"format", "n"}`` head.
+These tests pin the contract: format-1 checkpoints (written before
+alerting existed) load with empty alerts and resume cleanly — including
+into an alerting run, which recomputes alerts from the replayed frames
+— a resumed inline checkpoint is migrated so the next restart replays
+everything, and unknown formats are dropped wholesale.
 """
 
 from __future__ import annotations
 
+import shutil
+
+import pytest
+
+from repro import obs
 from repro.clustering.frames import FrameSettings
 from repro.obs.alerts import AlertConfig
 from repro.parallel.cache import PipelineCache
@@ -16,6 +24,9 @@ from repro.stream import WatchTelemetry, slice_trace, track_windows
 from repro.stream.checkpoint import (
     _ACCEPTED_FORMATS,
     _CHECKPOINT_FORMAT,
+    _WINDOW_KIND,
+    _record_to_json,
+    _window_key,
     load_checkpoint,
     stream_key,
 )
@@ -38,14 +49,22 @@ def _checkpointed_run(tmp_path, *, alerts=None):
     return trace, cache, key, telemetry
 
 
-def _downgrade_to_format1(cache, key):
-    """Rewrite the stored checkpoint as a faithful format-1 payload."""
-    payload = cache.get(key)
-    assert payload is not None and payload["format"] == _CHECKPOINT_FORMAT
-    payload["format"] = 1
-    for window in payload["windows"]:
-        window.pop("alerts", None)
-    cache.put(key, payload)
+def _downgrade(cache, key, *, fmt=1, n=None):
+    """Replace the stored checkpoint by a faithful inline payload.
+
+    The payload of format *fmt* holds the first *n* (default: all)
+    records that :func:`load_checkpoint` returns; the per-window
+    entries are removed, as an inline checkpoint never had them.
+    """
+    records = load_checkpoint(cache, key)
+    assert records is not None
+    windows = [_record_to_json(record) for record in records[:n]]
+    if fmt == 1:
+        for window in windows:
+            window.pop("alerts")
+    shutil.rmtree(cache.root / _WINDOW_KIND)
+    cache.put(key, {"format": fmt, "windows": windows})
+    return records
 
 
 class TestFormatConstants:
@@ -61,14 +80,14 @@ class TestFormatOne:
         _, cache, key, _ = _checkpointed_run(
             tmp_path, alerts=AlertConfig()
         )
-        _downgrade_to_format1(cache, key)
+        _downgrade(cache, key)
         records = load_checkpoint(cache, key)
         assert records is not None
         assert all(record.alerts == () for record in records)
 
     def test_resumes_a_plain_run(self, tmp_path):
         trace, cache, key, _ = _checkpointed_run(tmp_path)
-        _downgrade_to_format1(cache, key)
+        _downgrade(cache, key)
         reference = track_windows(trace, window_ns=DRIFT_WINDOW_NS)
         telemetry = WatchTelemetry()
         resumed = track_windows(
@@ -82,7 +101,7 @@ class TestFormatOne:
         self, tmp_path
     ):
         trace, cache, key, _ = _checkpointed_run(tmp_path)
-        _downgrade_to_format1(cache, key)
+        _downgrade(cache, key)
         reference = WatchTelemetry(alerts=AlertConfig())
         track_windows(
             build_drift_trace(drift=True), window_ns=DRIFT_WINDOW_NS,
@@ -120,13 +139,57 @@ class TestFormatTwo:
         _, cache, key, _ = _checkpointed_run(
             tmp_path, alerts=AlertConfig()
         )
-        payload = cache.get(key)
-        tainted = next(
-            w for w in payload["windows"] if w.get("alerts")
+        n = cache.get(key)["n"]
+        window_key = next(
+            _window_key(key, index) for index in range(n)
+            if cache.get(_window_key(key, index))["alerts"]
         )
+        tainted = cache.get(window_key)
         tainted["alerts"][0]["kind"] = "meltdown"
-        cache.put(key, payload)
+        cache.put(window_key, tainted)
         assert load_checkpoint(cache, key) is None
+
+
+class TestInlineMigration:
+    """Resuming from an inline checkpoint must not strand the next one.
+
+    The first save after the replay writes every replayed window as its
+    own entry; otherwise the format-3 head it commits would name
+    entries that were never written and the next restart would
+    silently start cold.
+    """
+
+    @pytest.mark.parametrize("fmt", [1, 2])
+    def test_second_resume_replays_every_window(self, tmp_path, fmt):
+        trace, cache, key, _ = _checkpointed_run(tmp_path)
+        records = _downgrade(cache, key, fmt=fmt, n=4)
+        assert all(record.status == "ok" for record in records)
+        obs.enable()
+        try:
+            obs.reset()
+            track_windows(trace, window_ns=DRIFT_WINDOW_NS, cache=cache)
+            assert _resumed() == 4
+            assert cache.get(key) == {
+                "format": _CHECKPOINT_FORMAT, "n": len(records),
+            }
+            obs.reset()
+            resumed = track_windows(
+                trace, window_ns=DRIFT_WINDOW_NS, cache=cache
+            )
+            assert _resumed() == len(records)
+        finally:
+            obs.reset()
+            obs.disable()
+        reference = track_windows(trace, window_ns=DRIFT_WINDOW_NS)
+        assert resumed.regions == reference.regions
+
+
+def _resumed() -> int:
+    return sum(
+        counter["value"]
+        for counter in obs.metrics_snapshot()["counters"]
+        if counter["name"] == "stream.windows_resumed"
+    )
 
 
 class TestKeyMismatch:
