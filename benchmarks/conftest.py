@@ -29,8 +29,8 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 #: Seed used by every benchmark run, so the printed numbers are stable.
 BENCH_SEED = 0
 
-#: Dedicated (always-on) registry recording per-benchmark wall-times, so
-#: successive PRs accumulate a perf trajectory in bench_timings.json.
+#: Dedicated (always-on) registry recording per-benchmark wall-times and
+#: RSS peaks, dumped to BENCH_RESULTS.json at session end.
 BENCH_REGISTRY = MetricsRegistry()
 
 
@@ -107,11 +107,10 @@ def _record_wall_time(request):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Dump the recorded measurements.
+    """Dump the recorded measurements to ``output/BENCH_RESULTS.json``.
 
-    ``output/bench_timings.json`` keeps the historical wall-time-only
-    format; ``output/BENCH_RESULTS.json`` is the schema-versioned
-    payload consumed by ``repro-track bench-compare``.
+    The schema-versioned payload is what ``repro-track bench-compare``
+    consumes.
     """
     from repro.obs.bench import bench_results_payload
 
@@ -135,18 +134,6 @@ def pytest_sessionfinish(session, exitstatus):
     except (OSError, ValueError):
         previous = {}
     benches = {**previous, **benches}
-    timings = {
-        name: m["wall_time_s"] for name, m in benches.items()
-        if "wall_time_s" in m
-    }
-    payload = {
-        "unit": "seconds",
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "timings": dict(sorted(timings.items())),
-    }
-    with open(OUTPUT_DIR / "bench_timings.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
     with open(OUTPUT_DIR / "BENCH_RESULTS.json", "w", encoding="utf-8") as handle:
         json.dump(bench_results_payload(benches), handle, indent=2)
         handle.write("\n")

@@ -165,42 +165,38 @@ def run_job(task: Mapping[str, Any]) -> dict[str, Any]:
     paths = TenantPaths(task["root"], str(task["tenant"])).ensure()
     job_id = str(task["job_id"])
     # Pidfile first: fault-injection tests (and operators) can target
-    # the worker of a specific job while it runs.
+    # the worker of a specific job while it runs.  The dispatcher
+    # (``JobRunner``) removes it once the worker has exited, since a
+    # killed worker cannot.
     paths.pid_path(job_id).write_text(str(os.getpid()), encoding="utf-8")
     # Route the pipeline's own run_record events to this tenant's ledger.
     os.environ[LEDGER_ENV] = str(paths.ledger_dir)
-    try:
-        spec = JobSpec.from_dict(task["spec"])
-        if spec.hold_s > 0:
-            time.sleep(spec.hold_s)
-        cache = PipelineCache(paths.cache_dir)
-        result, failures = execute_spec(spec, cache=cache)
-        payload = result_payload(spec, result, failures)
-        result_path = paths.result_path(job_id)
-        atomic_write_text(result_path, canonical_json(payload))
-        from repro.obs.report import write_report
+    spec = JobSpec.from_dict(task["spec"])
+    if spec.hold_s > 0:
+        time.sleep(spec.hold_s)
+    cache = PipelineCache(paths.cache_dir)
+    result, failures = execute_spec(spec, cache=cache)
+    payload = result_payload(spec, result, failures)
+    result_path = paths.result_path(job_id)
+    atomic_write_text(result_path, canonical_json(payload))
+    from repro.obs.report import write_report
 
-        report_path = paths.report_path(job_id)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        write_report(
-            report_path,
-            result,
-            failures=failures,
-            title=f"job {job_id} · tenant {paths.tenant} · {spec.app}",
-        )
-        quality = payload["quality"]
-        return {
-            "coverage": payload["coverage"],
-            "n_frames": payload["n_frames"],
-            "n_regions": len(payload["regions"]),
-            "n_tracked": int(quality.get("n_tracked", 0)),
-            "n_failures": len(failures),
-            "spec_digest": payload["spec_digest"],
-            "result_path": str(result_path),
-            "report_path": str(report_path),
-        }
-    finally:
-        try:
-            paths.pid_path(job_id).unlink()
-        except OSError:
-            pass
+    report_path = paths.report_path(job_id)
+    report_path.parent.mkdir(parents=True, exist_ok=True)
+    write_report(
+        report_path,
+        result,
+        failures=failures,
+        title=f"job {job_id} · tenant {paths.tenant} · {spec.app}",
+    )
+    quality = payload["quality"]
+    return {
+        "coverage": payload["coverage"],
+        "n_frames": payload["n_frames"],
+        "n_regions": len(payload["regions"]),
+        "n_tracked": int(quality.get("n_tracked", 0)),
+        "n_failures": len(failures),
+        "spec_digest": payload["spec_digest"],
+        "result_path": str(result_path),
+        "report_path": str(report_path),
+    }

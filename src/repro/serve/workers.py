@@ -34,6 +34,7 @@ from repro.parallel.executor import (
 )
 from repro.serve.queue import JobQueue, JobRecord
 from repro.serve.runner import run_job
+from repro.serve.tenancy import TenantPaths
 
 __all__ = ["JobRunner"]
 
@@ -120,7 +121,14 @@ class JobRunner:
             "spec": record.spec.to_dict(),
         }
         try:
-            summary = run_isolated(run_job, task, timeout=self.job_timeout)
+            pid_path = TenantPaths(self.root, record.tenant).pid_path(record.job_id)
+            try:
+                summary = run_isolated(run_job, task, timeout=self.job_timeout)
+            finally:
+                # A SIGKILLed worker cannot clean up after itself, so the
+                # dispatcher removes the pidfile however the worker
+                # exited — before the terminal state becomes visible.
+                pid_path.unlink(missing_ok=True)
         except RemoteTaskError as exc:
             log.warning(
                 "job %s failed in worker: %s", record.job_id, exc

@@ -20,10 +20,10 @@ consecutive frames (A, B) the combination proceeds:
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro import obs
@@ -46,6 +46,7 @@ __all__ = [
     "PairProvenance",
     "PairRelations",
     "combine_pair",
+    "connected_components",
     "UNMATCHED",
 ]
 
@@ -304,10 +305,43 @@ class PairRelations:
         return float(np.mean(supports)) if supports else 0.0
 
 
-def _component_relations(graph: nx.Graph) -> list[Relation]:
+#: The bipartite candidate graph ``{node: {neighbour: evaluator}}`` over
+#: ``("A", cid)`` / ``("B", cid)`` nodes, all inserted before any edge.
+Graph = dict[tuple[str, int], dict[tuple[str, int], str]]
+
+
+def connected_components(
+    graph: Mapping[Hashable, Iterable[Hashable]],
+) -> Iterator[set[Hashable]]:
+    """Yield the node sets of the connected components of an adjacency map.
+
+    Breadth-first search from each not-yet-seen node in insertion order;
+    each component set starts as ``{source}`` and grows in BFS order.
+    The component order and the iteration order inside each set are
+    therefore fixed by the node and edge insertion sequence — they
+    replay ``networkx.connected_components`` exactly, which keeps the
+    relation order and the float summation order of region durations
+    byte-stable.
+    """
+    seen: set[Hashable] = set()
+    for source in graph:
+        if source in seen:
+            continue
+        component = {source}
+        queue = [source]
+        for node in queue:  # the queue grows while it is walked: BFS order
+            for neighbour in graph[node]:
+                if neighbour not in component:
+                    component.add(neighbour)
+                    queue.append(neighbour)
+        seen.update(component)
+        yield component
+
+
+def _component_relations(graph: Graph) -> list[Relation]:
     """Extract relations from the bipartite candidate graph."""
     relations: list[Relation] = []
-    for component in nx.connected_components(graph):
+    for component in connected_components(graph):
         left = frozenset(cid for side, cid in component if side == "A")
         right = frozenset(cid for side, cid in component if side == "B")
         relations.append(Relation(left=left, right=right))
@@ -321,7 +355,7 @@ def _callstacks_compatible(frame_x: Frame, cid_x: int, frame_y: Frame, cid_y: in
     )
 
 
-def _callstack_rescue(graph: nx.Graph, frame_a: Frame, frame_b: Frame) -> int:
+def _callstack_rescue(graph: Graph, frame_a: Frame, frame_b: Frame) -> int:
     """Pair leftover objects whose call-stack reference is unambiguous.
 
     When displacements fail completely — the NAS BT case, where growing
@@ -336,7 +370,7 @@ def _callstack_rescue(graph: nx.Graph, frame_a: Frame, frame_b: Frame) -> int:
         ("B", frame_b, frame_a, "A"),
     ):
         for cid in frame.cluster_ids:
-            if graph.degree((side, cid)) > 0:
+            if graph[(side, cid)]:
                 continue
             candidates = [
                 other
@@ -344,15 +378,14 @@ def _callstack_rescue(graph: nx.Graph, frame_a: Frame, frame_b: Frame) -> int:
                 if _callstacks_compatible(frame, cid, other_frame, other)
             ]
             if len(candidates) == 1:
-                graph.add_edge(
-                    (side, cid), (other_side, candidates[0]), evaluator=CALLSTACK
-                )
+                node, other = (side, cid), (other_side, candidates[0])
+                graph[node][other] = graph[other][node] = CALLSTACK
                 added += 1
     return added
 
 
 def _sequence_rescue(
-    graph: nx.Graph,
+    graph: Graph,
     sequence: CorrelationMatrix,
     frame_a: Frame,
     frame_b: Frame,
@@ -365,7 +398,7 @@ def _sequence_rescue(
     """
     added = 0
     for cid_a in frame_a.cluster_ids:
-        if graph.degree(("A", cid_a)) > 0:
+        if graph[("A", cid_a)]:
             continue
         row = {
             cid_b: value
@@ -374,11 +407,12 @@ def _sequence_rescue(
         }
         if row:
             best = max(row, key=row.__getitem__)
-            graph.add_edge(("A", cid_a), ("B", best), evaluator=SEQUENCE)
+            node_a, node_b = ("A", cid_a), ("B", best)
+            graph[node_a][node_b] = graph[node_b][node_a] = SEQUENCE
             added += 1
     transposed = sequence.transpose()
     for cid_b in frame_b.cluster_ids:
-        if graph.degree(("B", cid_b)) > 0:
+        if graph[("B", cid_b)]:
             continue
         row = {
             cid_a: value
@@ -387,13 +421,14 @@ def _sequence_rescue(
         }
         if row:
             best = max(row, key=row.__getitem__)
-            graph.add_edge(("A", best), ("B", cid_b), evaluator=SEQUENCE)
+            node_a, node_b = ("A", best), ("B", cid_b)
+            graph[node_a][node_b] = graph[node_b][node_a] = SEQUENCE
             added += 1
     return added
 
 
 def _attach_orphans(
-    graph: nx.Graph,
+    graph: Graph,
     side: str,
     frame: Frame,
     simultaneity: CorrelationMatrix,
@@ -410,14 +445,14 @@ def _attach_orphans(
     ids = frame.cluster_ids
     for cid in ids:
         node = (side, cid)
-        if graph.degree(node) > 0:
+        if graph[node]:
             continue
         best_partner = None
         best_value = threshold
         for other in ids:
             if other == cid:
                 continue
-            if graph.degree((side, other)) == 0:
+            if not graph[(side, other)]:
                 continue
             mutual = min(simultaneity.get(cid, other), simultaneity.get(other, cid))
             if mutual >= best_value and _callstacks_compatible(
@@ -426,7 +461,8 @@ def _attach_orphans(
                 best_partner = other
                 best_value = mutual
         if best_partner is not None:
-            graph.add_edge(node, (side, best_partner), evaluator=SIMULTANEITY)
+            partner = (side, best_partner)
+            graph[node][partner] = graph[partner][node] = SIMULTANEITY
             attached += 1
     return attached
 
@@ -453,11 +489,8 @@ def _split_wide_relations(
         if not relation.is_wide:
             out.append(relation)
             continue
-        sub = nx.Graph()
-        for cid in relation.left:
-            sub.add_node(("A", cid))
-        for cid in relation.right:
-            sub.add_node(("B", cid))
+        sub: Graph = {("A", cid): {} for cid in relation.left}
+        sub.update((("B", cid), {}) for cid in relation.right)
         for cid_a in relation.left:
             for cid_b in relation.right:
                 try:
@@ -467,7 +500,8 @@ def _split_wide_relations(
                 if evidence > 0 and _callstacks_compatible(
                     frame_a, cid_a, frame_b, cid_b
                 ):
-                    sub.add_edge(("A", cid_a), ("B", cid_b))
+                    node_a, node_b = ("A", cid_a), ("B", cid_b)
+                    sub[node_a][node_b] = sub[node_b][node_a] = SEQUENCE
         pieces = _component_relations(sub)
         valid = (
             len(pieces) > 1
@@ -498,7 +532,7 @@ def _max_cell(matrix: CorrelationMatrix | None, pairs) -> float:
 
 def _relation_provenance(
     relation: Relation,
-    graph: nx.Graph,
+    graph: Graph,
     split_pieces: set[Relation],
     disp_ab: CorrelationMatrix,
     disp_ba: CorrelationMatrix,
@@ -516,10 +550,10 @@ def _relation_provenance(
         ("B", cid) for cid in relation.right
     }
     counts: dict[str, int] = {}
-    for u, v, data in graph.edges(nodes, data=True):
-        if u in nodes and v in nodes:
-            evaluator = data.get("evaluator", DISPLACEMENT)
-            counts[evaluator] = counts.get(evaluator, 0) + 1
+    for node in nodes:
+        for neighbour, evaluator in graph[node].items():
+            if neighbour in nodes and node < neighbour:  # each edge once
+                counts[evaluator] = counts.get(evaluator, 0) + 1
     proposed_by = next(
         (name for name in _PROPOSER_PRIORITY if counts.get(name)), UNMATCHED
     )
@@ -638,23 +672,17 @@ def combine_pair(
             return True
         return _callstacks_compatible(frame_a, cid_a, frame_b, cid_b)
 
-    graph = nx.Graph()
-    for cid in frame_a.cluster_ids:
-        graph.add_node(("A", cid))
-    for cid in frame_b.cluster_ids:
-        graph.add_node(("B", cid))
-    proposed = 0
+    graph: Graph = {("A", cid): {} for cid in frame_a.cluster_ids}
+    graph.update((("B", cid), {}) for cid in frame_b.cluster_ids)
+    # Reciprocal seeding: A onto B, then B onto A, as (cid_a, cid_b).
+    candidates = [(a, b) for a, b, _ in disp_ab.nonzero_pairs()]
+    candidates += [(a, b) for b, a, _ in disp_ba.nonzero_pairs()]
+    proposed = len(candidates)
     pruned = 0
-    for cid_a, cid_b, _ in disp_ab.nonzero_pairs():
-        proposed += 1
+    for cid_a, cid_b in candidates:
         if compatible(cid_a, cid_b):
-            graph.add_edge(("A", cid_a), ("B", cid_b), evaluator=DISPLACEMENT)
-        else:
-            pruned += 1
-    for cid_b, cid_a, _ in disp_ba.nonzero_pairs():
-        proposed += 1
-        if compatible(cid_a, cid_b):
-            graph.add_edge(("A", cid_a), ("B", cid_b), evaluator=DISPLACEMENT)
+            node_a, node_b = ("A", cid_a), ("B", cid_b)
+            graph[node_a][node_b] = graph[node_b][node_a] = DISPLACEMENT
         else:
             pruned += 1
     if obs.enabled():
@@ -662,7 +690,7 @@ def combine_pair(
         obs.count("tracking.links_pruned", pruned, evaluator=CALLSTACK)
         obs.count(
             "tracking.links_confirmed",
-            graph.number_of_edges(),
+            sum(map(len, graph.values())) // 2,
             evaluator=DISPLACEMENT,
         )
 

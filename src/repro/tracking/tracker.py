@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 import numpy as np
 
 from repro import obs
@@ -22,7 +20,11 @@ from repro.clustering.frames import Frame
 from repro.errors import TrackingError
 from repro.obs.log import get_logger
 from repro.parallel.executor import SerialExecutor, get_executor, pmap
-from repro.tracking.combine import PairRelations, combine_pair
+from repro.tracking.combine import (
+    PairRelations,
+    combine_pair,
+    connected_components,
+)
 from repro.tracking.evalcache import EvalCache
 from repro.tracking.coverage import coverage_percent
 from repro.tracking.scaling import NormalizedSpace, normalize_frames
@@ -476,14 +478,22 @@ def chain_regions(
 
     Shared by the batch :class:`Tracker` and the incremental
     :class:`repro.stream.IncrementalTracker`: given identical frames and
-    pair relations both produce identical regions (including the
-    tie-breaking order of equal-duration regions, which follows the
-    graph component iteration order).
+    pair relations both produce identical regions.
+
+    Component-order contract: the graph's nodes are inserted frame by
+    frame in cluster-id order, its edges pair by pair in relation order,
+    and :func:`~repro.tracking.combine.connected_components` yields
+    components in insertion order of their first node, each set built
+    in breadth-first order.  That order is what breaks ties between
+    equal-duration regions (the sort below is stable), and the set's
+    iteration order fixes the float summation order of
+    ``total_duration``.
     """
-    graph = nx.Graph()
-    for frame_index, frame in enumerate(frames):
-        for cid in frame.cluster_ids:
-            graph.add_node((frame_index, cid))
+    graph: dict[tuple[int, int], dict[tuple[int, int], None]] = {
+        (frame_index, cid): {}
+        for frame_index, frame in enumerate(frames)
+        for cid in frame.cluster_ids
+    }
     for pair_index, pair in enumerate(pair_relations):
         for relation in pair.relations:
             members = [("L", cid) for cid in relation.left] + [
@@ -500,10 +510,10 @@ def chain_regions(
             )
             for side, cid in members[1:]:
                 node = (pair_index if side == "L" else pair_index + 1, cid)
-                graph.add_edge(anchor, node)
+                graph[anchor][node] = graph[node][anchor] = None
 
     regions: list[TrackedRegion] = []
-    for component in nx.connected_components(graph):
+    for component in connected_components(graph):
         members: list[set[int]] = [set() for _ in frames]
         for frame_index, cid in component:
             members[frame_index].add(cid)

@@ -51,7 +51,8 @@ def test_sigkilled_worker_fails_the_job_not_the_server(live_server, tmp_path):
     client = JobClient(server.url)
     # hold_s pins the worker alive long enough to target it.
     held = client.submit("ops", dict(FAST_SPEC, hold_s=30.0))["job_id"]
-    pid = wait_for_pidfile(TenantPaths(server.root, "ops"), held)
+    paths = TenantPaths(server.root, "ops")
+    pid = wait_for_pidfile(paths, held)
     os.kill(pid, signal.SIGKILL)
 
     final = client.wait(held, timeout=60.0)
@@ -59,10 +60,14 @@ def test_sigkilled_worker_fails_the_job_not_the_server(live_server, tmp_path):
     assert final["error_type"] == "WorkerDeath"
     # Exit code -9 = killed by SIGKILL, preserved in the message.
     assert "-9" in final["error"]
+    # The killed worker could not remove its pidfile; the dispatcher
+    # did, before the failed state became visible.
+    assert not paths.pid_path(held).exists()
 
     # The dispatcher thread survived: the next job runs to completion.
     survivor = client.submit("ops", FAST_SPEC)["job_id"]
     assert client.wait(survivor, timeout=240.0)["state"] == "done"
+    assert list(paths.jobs_dir.glob("*.pid")) == []
 
 
 def test_job_timeout_kills_the_worker_and_fails_the_job(live_server, tmp_path):
@@ -71,27 +76,23 @@ def test_job_timeout_kills_the_worker_and_fails_the_job(live_server, tmp_path):
     )
     client = JobClient(server.url)
     job_id = client.submit("ops", dict(FAST_SPEC, hold_s=30.0))["job_id"]
+    paths = TenantPaths(server.root, "ops")
+    # hold_s outlasts the 2 s timeout, so the worker is alive to be read.
+    pid = wait_for_pidfile(paths, job_id)
     final = client.wait(job_id, timeout=60.0)
     assert final["state"] == "failed"
     assert final["error_type"] == "TaskTimeout"
     assert "2" in final["error"]
+    # The killed worker could not remove its pidfile; the dispatcher
+    # did, before the failed state became visible.
+    assert not paths.pid_path(job_id).exists()
     # The worker really is gone, not orphaned behind the failed record.
-    pid_path = TenantPaths(server.root, "ops").pid_path(job_id)
-    deadline = time.monotonic() + 10.0
-    while pid_path.exists() and time.monotonic() < deadline:
-        time.sleep(0.05)  # the killed worker cannot clean up; the file
-    # may linger, but the process must be dead:
     try:
-        pid = int(pid_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        pid = None
-    if pid is not None:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            pass  # dead, as required
-        else:
-            raise AssertionError(f"worker {pid} still alive after timeout")
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        pass  # dead, as required
+    else:
+        raise AssertionError(f"worker {pid} still alive after timeout")
 
 
 def test_restart_requeues_interrupted_jobs_exactly_once(live_server, tmp_path):
@@ -138,3 +139,5 @@ def test_restart_requeues_interrupted_jobs_exactly_once(live_server, tmp_path):
     assert client2.status(claimed.job_id)["attempts"] == 2
     for job_id in requeued_ids - {claimed.job_id}:
         assert client2.status(job_id)["attempts"] == 1
+    # Every worker has exited, so no tenant keeps a pidfile behind.
+    assert list(root.glob("tenants/*/jobs/*.pid")) == []

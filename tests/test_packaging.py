@@ -66,3 +66,35 @@ class TestSubpackageSurfaces:
         assert module.__doc__, f"{module_name} lacks a module docstring"
         for name in module.__all__:
             assert getattr(module, name) is not None, f"{module_name}.{name}"
+
+
+class TestRuntimeDependencies:
+    """networkx is a test-only dependency: the runtime never loads it."""
+
+    def test_cli_import_loads_no_networkx(self):
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'networkx' or m.startswith('networkx.')))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
+    def test_no_source_file_imports_networkx(self):
+        import re
+        from pathlib import Path
+
+        pattern = re.compile(r"^\s*(import|from)\s+networkx\b", re.MULTILINE)
+        src = Path(repro.__file__).parent
+        offenders = [
+            str(path.relative_to(src))
+            for path in sorted(src.rglob("*.py"))
+            if pattern.search(path.read_text(encoding="utf-8"))
+        ]
+        assert offenders == []

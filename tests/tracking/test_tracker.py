@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.clustering.frames import make_frame, make_frames
 from repro.errors import TrackingError
-from repro.tracking.tracker import TrackedRegion, Tracker, TrackerConfig
+from repro.tracking.combine import Relation
+from repro.tracking.tracker import (
+    TrackedRegion,
+    Tracker,
+    TrackerConfig,
+    chain_regions,
+)
 from tests.conftest import build_two_region_trace
 
 
@@ -93,6 +101,17 @@ class TestTracker:
         r1 = Tracker(frames).run()
         r2 = Tracker(frames).run()
         assert [reg.members for reg in r1.regions] == [reg.members for reg in r2.regions]
+
+
+class TestChainRegions:
+    def test_relation_naming_an_unknown_cluster_fails_loudly(self):
+        frames = make_frames(traces_for(2))
+        (pair,) = Tracker(frames).run().pair_relations
+        bogus = Relation(left=frozenset({1}), right=frozenset({1, 999}))
+        pair = dataclasses.replace(pair, relations=pair.relations + (bogus,))
+        # The edge write names the missing node, before any duration is read.
+        with pytest.raises(KeyError, match=r"\(1, 999\)"):
+            chain_regions(frames, [pair])
 
 
 class TestTrackedRegion:
