@@ -44,12 +44,28 @@ a clique of core points and needs no counting at all.  Remaining
 counts come from a single ``query_ball_point(..., return_length=True)``
 pass — no neighbour lists are ever materialised.  Components are found
 on the tiny *cell* graph (two cells connect iff some core pair across
-them is within ``eps``), and border claims reduce to one ball query
-per cluster in label order.
+them is within ``eps``).  Bounding-box screens settle most cell pairs;
+the borderline rest goes through scipy's own ball predicate, but only
+while a union-find over the sure-edge components still holds the two
+cells apart: an edge inside one component cannot change the
+components, and labels are numbered by minimum core index, so the
+order pairs are visited in is irrelevant.  Border claims are one ball
+query of the non-core points against a tree of the core points; each
+list is shorter than ``min_pts`` by definition, and the smallest label
+per point is one ``np.minimum.reduceat``.
+
+Every query runs with ``workers=1``: most fits have a few hundred
+points, where scipy's per-call thread start costs more than it saves,
+and callers already parallelise across frames and shards.
+
+Coordinate ranges whose squared diameter overflows float64 raise
+:class:`~repro.errors.ClusteringError`; no eps-distance is meaningful
+there, and scipy refuses the query.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -112,8 +128,20 @@ def _validate_points(points: np.ndarray) -> np.ndarray:
         raise ClusteringError(
             f"points must be a 2-D array, got shape {points.shape}"
         )
-    if points.size and not np.isfinite(points).all():
+    if points.shape[1] == 0:
+        raise ClusteringError("points must have at least one column")
+    if not points.size:
+        return points
+    if not np.isfinite(points).all():
         raise ClusteringError("points contain NaN or infinite values")
+    # scipy's ball query refuses (and no eps-distance is meaningful)
+    # once the squared bounding-box diagonal overflows.
+    with np.errstate(over="ignore"):
+        diameter_sq = np.square(np.ptp(points, axis=0)).sum()
+    if not np.isfinite(diameter_sq):
+        raise ClusteringError(
+            "coordinate range too wide: squared distances overflow float64"
+        )
     return points
 
 
@@ -143,7 +171,7 @@ def dbscan_reference(
     # Expansion never needs sorted neighbourhoods; skipping the sort
     # saves time on dense frames.
     neighborhoods = tree.query_ball_point(
-        points, eps, workers=-1, return_sorted=False
+        points, eps, workers=1, return_sorted=False
     )
     neighbor_counts = np.fromiter(
         (len(nb) for nb in neighborhoods), count=n, dtype=np.int64
@@ -203,8 +231,11 @@ class _Grid:
             raise OverflowError("neighbour offset table too large")
 
         coords = np.floor(points / self.width)
-        if not np.isfinite(coords).all():
-            raise OverflowError("cell coordinates overflow")
+        # Checked before the cast: a finite value past int64 casts to
+        # INT64_MIN and would merge unrelated points into one cell.
+        # Below 2**61, the shift by the minimum cannot wrap either.
+        if not np.abs(coords).max() < 2.0**61:
+            raise OverflowError("cell coordinates overflow int64")
         coords = coords.astype(np.int64)
         coords -= coords.min(axis=0) - self.radius
         extents = coords.max(axis=0) + self.radius + 1
@@ -297,10 +328,15 @@ class DBSCAN:
                     )
                 return result
             core_mask = self._core_mask(grid)
-            labels = self._label(grid, core_mask)
+            labels, cell_pairs, pair_tests = self._label(grid, core_mask)
             n_clusters = int(labels.max(initial=0))
             if obs.enabled():
-                fit_span.set(n_clusters=n_clusters, n_core=int(core_mask.sum()))
+                fit_span.set(
+                    n_clusters=n_clusters,
+                    n_core=int(core_mask.sum()),
+                    cell_pairs=cell_pairs,
+                    pair_tests=pair_tests,
+                )
             return DBSCANResult(
                 labels=labels, n_clusters=n_clusters, core_mask=core_mask
             )
@@ -317,18 +353,21 @@ class DBSCAN:
         sparse_idx = np.flatnonzero(~core_mask)
         if sparse_idx.size:
             counts = cKDTree(grid.points).query_ball_point(
-                grid.points[sparse_idx], self.eps, workers=-1,
+                grid.points[sparse_idx], self.eps, workers=1,
                 return_length=True,
             )
             core_mask[sparse_idx] = counts >= self.min_pts
         return core_mask
 
-    def _label(self, grid: _Grid, core_mask: np.ndarray) -> np.ndarray:
+    def _label(
+        self, grid: _Grid, core_mask: np.ndarray
+    ) -> tuple[np.ndarray, int, int]:
+        """Labels, plus the borderline cell pairs and exact tests run."""
         n = grid.points.shape[0]
         labels = np.full(n, NOISE, dtype=np.int32)
         core_idx = np.flatnonzero(core_mask)
         if core_idx.size == 0:
-            return labels
+            return labels, 0, 0
 
         # Group core points by cell (cells keep their sorted-key order).
         core_cell_all = grid.cell_of_point[core_idx]
@@ -337,15 +376,17 @@ class DBSCAN:
         cells, starts, counts = np.unique(
             core_cell_all[order], return_index=True, return_counts=True
         )
-        comp = self._cell_components(grid, cells, starts, counts, grouped)
+        comp, cell_pairs, pair_tests = self._cell_components(
+            grid, cells, starts, counts, grouped
+        )
 
         # Label per core point: rank of its component's min core index.
         comp_pt = comp[np.searchsorted(cells, core_cell_all)]
         rank = _rank_components(comp_pt, int(comp.max()) + 1, core_idx)
         labels[core_idx] = rank[comp_pt]
 
-        self._claim_borders(grid, labels, core_mask, int(rank.max()))
-        return labels
+        self._claim_borders(grid, labels, core_mask)
+        return labels, cell_pairs, pair_tests
 
     def _cell_components(
         self,
@@ -354,15 +395,19 @@ class DBSCAN:
         starts: np.ndarray,
         counts: np.ndarray,
         grouped: np.ndarray,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, int, int]:
         """Connected components of core-occupied cells under eps-adjacency.
 
         Exact: core points inside one cell are a clique, so the core
         adjacency graph and this cell graph have identical components.
+        Component ids are union-find roots, so they may skip values;
+        ``_rank_components`` ranks only the ids in use.  Also returns
+        how many borderline cell pairs survived both screens and how
+        many of them needed the exact ball test.
         """
         n_cells = len(cells)
         if n_cells == 1:
-            return np.zeros(1, dtype=np.int64)
+            return np.zeros(1, dtype=np.int64), 0, 0
         core_pts = grid.points[grouped]
         ends = starts + counts
         # Per-cell bounding boxes of the core points, for the distance
@@ -371,12 +416,12 @@ class DBSCAN:
         box_max = np.maximum.reduceat(core_pts, starts, axis=0)
 
         cell_keys = grid.keys[cells]
-        edges_a: list[np.ndarray] = []
-        edges_b: list[np.ndarray] = []
+        pairs_a: list[np.ndarray] = []
+        pairs_b: list[np.ndarray] = []
+        pairs_sure: list[np.ndarray] = []
         eps = self.eps
         lo_cut = eps * (1 + _BBOX_SLACK)
         hi_cut = eps * (1 - _BBOX_SLACK)
-        trees: dict[int, cKDTree] = {}
         for offset in grid.offsets:
             shift = int(offset @ grid.strides)
             pos = np.searchsorted(cell_keys, cell_keys + shift)
@@ -393,68 +438,83 @@ class DBSCAN:
             )
             near = np.sqrt((gap * gap).sum(axis=1)) <= lo_cut
             src, dst = src[near], dst[near]
-            if not src.size:
-                continue
             # Screen 2: boxes whose farthest corners are inside eps
             # always connect.
             span = np.maximum(box_max[dst], box_max[src]) - np.minimum(
                 box_min[dst], box_min[src]
             )
-            sure = np.sqrt((span * span).sum(axis=1)) <= hi_cut
-            edges_a.append(src[sure])
-            edges_b.append(dst[sure])
-            # The borderline remainder gets scipy's own ball predicate,
-            # so boundary-distance rounding matches the reference run.
-            for a, b in zip(src[~sure], dst[~sure]):
-                tree = trees.get(a)
-                if tree is None:
-                    tree = trees[a] = cKDTree(core_pts[starts[a]:ends[a]])
-                hits = tree.query_ball_point(
-                    core_pts[starts[b]:ends[b]], eps, return_length=True
-                )
-                if hits.any():
-                    edges_a.append(np.array([a]))
-                    edges_b.append(np.array([b]))
+            pairs_a.append(src)
+            pairs_b.append(dst)
+            pairs_sure.append(np.sqrt((span * span).sum(axis=1)) <= hi_cut)
 
-        if edges_a:
-            row = np.concatenate(edges_a)
-            col = np.concatenate(edges_b)
-        else:
-            row = col = np.zeros(0, dtype=np.int64)
+        empty = [np.zeros(0, dtype=np.int64)]
+        src = np.concatenate(pairs_a or empty)
+        dst = np.concatenate(pairs_b or empty)
+        sure = np.concatenate(pairs_sure or [np.zeros(0, dtype=bool)])
         graph = coo_matrix(
-            (np.ones(len(row), dtype=np.int8), (row, col)),
+            (np.ones(int(sure.sum()), dtype=np.int8), (src[sure], dst[sure])),
             shape=(n_cells, n_cells),
         )
-        _, comp = connected_components(graph, directed=False)
-        return comp
+        n_comp, comp = connected_components(graph, directed=False)
+
+        # A borderline pair can only change the components while it
+        # still joins two of them; union-find tracks that as the
+        # positive tests merge components.
+        parent = list(range(n_comp))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        trees: dict[int, cKDTree] = {}
+        pair_tests = 0
+        comp_of = comp.tolist()
+        split = ~sure & (comp[src] != comp[dst])
+        for a, b in zip(src[split].tolist(), dst[split].tolist()):
+            root_a, root_b = find(comp_of[a]), find(comp_of[b])
+            if root_a == root_b:
+                continue
+            pair_tests += 1
+            # scipy's own ball predicate, so boundary-distance rounding
+            # matches the reference run.
+            tree = trees.get(a)
+            if tree is None:
+                tree = trees[a] = cKDTree(core_pts[starts[a]:ends[a]])
+            hits = tree.query_ball_point(
+                core_pts[starts[b]:ends[b]], eps, workers=1, return_length=True
+            )
+            if hits.any():
+                parent[root_a] = root_b
+        roots = np.array([find(c) for c in range(n_comp)])
+        return roots[comp], int((~sure).sum()), pair_tests
 
     def _claim_borders(
-        self,
-        grid: _Grid,
-        labels: np.ndarray,
-        core_mask: np.ndarray,
-        n_clusters: int,
+        self, grid: _Grid, labels: np.ndarray, core_mask: np.ndarray
     ) -> None:
         """Assign border points: smallest label among core eps-neighbours.
 
         Equivalent to the BFS first-claim rule because clusters are
-        expanded to exhaustion in label order (module docstring).
+        expanded to exhaustion in label order (module docstring).  One
+        query serves every cluster: a non-core point has fewer than
+        ``min_pts`` neighbours, so its hit list is short.
         """
         noncore_idx = np.flatnonzero(~core_mask)
         if not noncore_idx.size:
             return
         core_idx = np.flatnonzero(core_mask)
-        near_core = cKDTree(grid.points[core_idx]).query_ball_point(
-            grid.points[noncore_idx], self.eps, workers=-1, return_length=True
+        hits = cKDTree(grid.points[core_idx]).query_ball_point(
+            grid.points[noncore_idx], self.eps, workers=1, return_sorted=False
         )
-        remaining = noncore_idx[near_core > 0]
-        for label in range(1, n_clusters + 1):
-            if not remaining.size:
-                return
-            members = core_idx[labels[core_idx] == label]
-            claimed = cKDTree(grid.points[members]).query_ball_point(
-                grid.points[remaining], self.eps, workers=-1,
-                return_length=True,
-            ) > 0
-            labels[remaining[claimed]] = label
-            remaining = remaining[~claimed]
+        lengths = np.fromiter(map(len, hits), count=len(hits), dtype=np.intp)
+        border = np.flatnonzero(lengths)
+        if not border.size:
+            return
+        neighbours = np.fromiter(
+            itertools.chain.from_iterable(hits), count=int(lengths.sum()),
+            dtype=np.intp,
+        )
+        starts = np.cumsum(lengths) - lengths
+        labels[noncore_idx[border]] = np.minimum.reduceat(
+            labels[core_idx[neighbours]], starts[border]
+        )

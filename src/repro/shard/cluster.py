@@ -128,7 +128,7 @@ def _shard_count_task(
     """
     shard_points, candidates, eps = task
     return cKDTree(shard_points).query_ball_point(
-        candidates, eps, workers=-1, return_length=True
+        candidates, eps, workers=1, return_length=True
     )
 
 
@@ -227,7 +227,7 @@ def sharded_dbscan(
         # fit would.
         try:
             grid = _Grid(points, eps)
-            labels = clusterer._label(grid, core_mask)
+            labels, _, _ = clusterer._label(grid, core_mask)
         except OverflowError:
             result = dbscan_reference(points, eps, min_pts)
             if obs.enabled():

